@@ -1,16 +1,21 @@
-"""Shared scheduler: one worker pool multiplexing many clients.
+"""Shared scheduler: one execution cap multiplexing many clients.
 
 The paper's prototype "contains a dispatching component that runs in a
 single thread and spawns multiple pipeline instances in parallel" with
 "five execution engine workers" (Section 5).  The seed repo reproduced
 that *within* one session; this module generalizes it to a shared pool:
-every client (a debugging job, a parallel session) enqueues its
-instance-execution requests here, and a single elastic pool of worker
-threads drains them with
+every client (a debugging job, a parallel session) routes its instance
+executions through here, and at most ``workers`` of them execute at
+once, service-wide, with
 
-* **fairness** -- requests are queued per job and dispatched round-robin
-  across jobs, so one job's thousand-instance batch cannot starve a
-  job that needs two instances;
+* **caller-runs** -- a single execution (:meth:`SharedScheduler.call`,
+  which :class:`ScheduledExecutor` uses) runs on the calling thread
+  when a slot is free and nothing is queued, so an uncontended job
+  never pays a thread hand-off; otherwise it queues and waits like a
+  batch request, and the policies below decide when it runs;
+* **fairness** -- queued requests wait per job and are dispatched
+  round-robin across jobs, so one job's thousand-instance batch cannot
+  starve a job that needs two instances;
 * **weighted fairness** (optional, off by default) -- jobs may carry an
   integer priority weight; a job with weight ``w`` is served up to
   ``w`` consecutive requests per round-robin turn.  With the flag off
@@ -19,10 +24,11 @@ threads drains them with
 * **budget awareness** -- a request may carry a ``skip`` predicate
   (typically "this job's budget is exhausted and the instance is not a
   free history hit"); skipped requests resolve immediately without
-  occupying a worker;
-* **elasticity** -- workers are spawned lazily up to the configured
-  limit and exit after an idle timeout, so short-lived sessions (the
-  test-suite creates thousands) do not leak threads.
+  running their thunk;
+* **elasticity** -- worker threads serve batches and contended calls
+  only; they are spawned lazily up to the configured limit and exit
+  after an idle timeout, so short-lived sessions (the test-suite
+  creates thousands) do not leak threads.
 
 This module is deliberately neutral: it lives below both
 :mod:`repro.pipeline` and :mod:`repro.service` and imports only the
@@ -46,9 +52,9 @@ __all__ = [
 
 _DEFAULT_IDLE_TIMEOUT = 2.0
 
-# Which scheduler (if any) the current thread is a worker of.  Lets
-# ScheduledExecutor run inline when already on a worker slot instead of
-# deadlocking on a nested submit.
+# Which scheduler (if any) the current thread holds an execution slot
+# of: its worker threads, and callers while their thunk runs inline.
+# Lets a nested call run directly instead of deadlocking on a full pool.
 _worker_context = threading.local()
 
 
@@ -79,11 +85,17 @@ class _Request:
 
 
 class SchedulerStats:
-    """Aggregate dispatch counters (all fields monotonically increase)."""
+    """Aggregate dispatch counters (all fields monotonically increase).
+
+    ``dispatched`` counts every thunk that ran: ``inline`` on its
+    caller's thread, the rest on the worker slots of
+    ``dispatched_by_worker``.
+    """
 
     def __init__(self) -> None:
         self.submitted = 0
         self.dispatched = 0
+        self.inline = 0
         self.skipped = 0
         self.errors = 0
         self.dispatched_by_job: dict[str, int] = {}
@@ -93,6 +105,7 @@ class SchedulerStats:
         return {
             "submitted": self.submitted,
             "dispatched": self.dispatched,
+            "inline": self.inline,
             "skipped": self.skipped,
             "errors": self.errors,
             "dispatched_by_job": dict(self.dispatched_by_job),
@@ -104,9 +117,10 @@ class SharedScheduler:
     """Fair, elastic dispatcher shared by every job of a service.
 
     Args:
-        workers: maximum concurrent pipeline executions.  This is the
-            service-wide cap; jobs share it no matter how many are
-            active (the Figure 6 prototype used five).
+        workers: maximum concurrent pipeline executions, inline callers
+            and worker threads together.  This is the service-wide cap;
+            jobs share it no matter how many are active (the Figure 6
+            prototype used five).
         idle_timeout: seconds an idle worker thread lingers before
             exiting.  Workers respawn on demand, so this only trades a
             little thread-start latency against leaked-thread count.
@@ -144,6 +158,7 @@ class SharedScheduler:
         self._credits: dict[str, int] = {}
         self._unsettled: dict[str, int] = {}  # submitted, not yet resolved
         self._pending = 0
+        self._running = 0  # executing thunks: inline callers + workers
         self._live_workers = 0
         self._idle_workers = 0
         self._free_slots = set(range(workers))
@@ -175,22 +190,8 @@ class SharedScheduler:
         skip: Callable[[], bool] | None = None,
     ) -> _Request:
         """Enqueue one thunk for ``job_id``; returns a waitable request."""
-        request = _Request(job_id, thunk, skip)
         with self._condition:
-            if self._shutdown:
-                raise RuntimeError("scheduler is shut down")
-            queue = self._queues.get(job_id)
-            if queue is None:
-                queue = self._queues[job_id] = deque()
-            if not queue:
-                self._ring.append(job_id)
-            queue.append(request)
-            self._pending += 1
-            self._unsettled[job_id] = self._unsettled.get(job_id, 0) + 1
-            self.stats.submitted += 1
-            self._spawn_if_needed()
-            self._condition.notify()
-        return request
+            return self._enqueue(job_id, thunk, skip)
 
     def run_batch(
         self,
@@ -202,13 +203,51 @@ class SharedScheduler:
         requests = [self.submit(job_id, thunk, skip) for thunk in thunks]
         return [request.result() for request in requests]
 
+    def call(self, job_id: str, thunk: Callable[[], object]) -> object:
+        """Run one thunk for ``job_id`` and return its value (or raise).
+
+        When a slot is free and nothing is queued, the thunk runs right
+        here on the calling thread, booked like any dispatch.  Otherwise
+        it queues and waits exactly as :meth:`submit` does, so the cap
+        and the round-robin order decide every contended call.  A call
+        from a thread that already holds one of this scheduler's slots
+        (a worker, or a caller whose thunk is running inline) runs
+        directly: waiting in the queue could deadlock a full pool.
+        """
+        holder = getattr(_worker_context, "scheduler", None)
+        if holder is self:
+            return thunk()
+        with self._condition:
+            if self._shutdown or self._pending or self._running >= self.workers:
+                request = self._enqueue(job_id, thunk, None)  # raises if shut down
+            else:
+                request = None
+                self._running += 1
+                self._unsettled[job_id] = self._unsettled.get(job_id, 0) + 1
+                self.stats.submitted += 1
+        if request is not None:
+            return request.result()
+        _worker_context.scheduler = self
+        failed = True
+        try:
+            value = thunk()
+            failed = False
+        finally:
+            _worker_context.scheduler = holder
+            with self._condition:
+                self.stats.inline += 1
+                self._book(job_id, failed)
+                if self._pending:
+                    self._wake_worker()
+        return value
+
     # -- Job-facing adapters -------------------------------------------------
     def backend(self, job_id: str) -> "SchedulerBackend":
         """An :class:`~repro.core.session.ExecutionBackend` view for one job."""
         return SchedulerBackend(self, job_id)
 
     def executor(self, job_id: str, inner) -> "ScheduledExecutor":
-        """Wrap ``inner`` so each call runs on the shared pool."""
+        """Wrap ``inner`` so each call runs under the shared cap."""
         return ScheduledExecutor(self, job_id, inner)
 
     # -- Introspection -------------------------------------------------------
@@ -251,13 +290,14 @@ class SharedScheduler:
                 self._settled.wait(remaining)
         return True
 
-    def _settle(self, request: _Request) -> None:
-        """Book a request as resolved (caller holds the shared lock)."""
-        count = self._unsettled.get(request.job_id, 0) - 1
+    def _settle(self, job_id: str) -> None:
+        """Book one of ``job_id``'s requests as resolved (caller holds
+        the shared lock)."""
+        count = self._unsettled.get(job_id, 0) - 1
         if count > 0:
-            self._unsettled[request.job_id] = count
+            self._unsettled[job_id] = count
         else:
-            self._unsettled.pop(request.job_id, None)
+            self._unsettled.pop(job_id, None)
             self._settled.notify_all()  # wake wait_quiescent callers
 
     @property
@@ -278,7 +318,7 @@ class SharedScheduler:
                 while queue:
                     request = queue.popleft()
                     request.error = error
-                    self._settle(request)
+                    self._settle(request.job_id)
                     request.done.set()
             self._queues.clear()
             self._ring.clear()
@@ -293,12 +333,38 @@ class SharedScheduler:
         self.shutdown()
 
     # -- Internals -----------------------------------------------------------
-    def _spawn_if_needed(self) -> None:
-        """Spawn a worker if work is pending and the pool is not full.
+    def _enqueue(
+        self,
+        job_id: str,
+        thunk: Callable[[], object],
+        skip: Callable[[], bool] | None,
+    ) -> _Request:
+        """Queue one request and wake a worker (caller holds the lock)."""
+        if self._shutdown:
+            raise RuntimeError("scheduler is shut down")
+        request = _Request(job_id, thunk, skip)
+        queue = self._queues.get(job_id)
+        if queue is None:
+            queue = self._queues[job_id] = deque()
+        if not queue:
+            self._ring.append(job_id)
+        queue.append(request)
+        self._pending += 1
+        self._unsettled[job_id] = self._unsettled.get(job_id, 0) + 1
+        self.stats.submitted += 1
+        self._wake_worker()
+        return request
 
-        Caller must hold ``self._condition``.
+    def _wake_worker(self) -> None:
+        """Hand queued work to a worker: spawn one if the queue outgrows
+        the idle workers while threads and execution slots remain, and
+        wake one idle worker.  Caller must hold ``self._condition``.
         """
-        if self._pending > self._idle_workers and self._live_workers < self.workers:
+        if (
+            self._pending > self._idle_workers
+            and self._live_workers < self.workers
+            and self._running < self.workers
+        ):
             slot = min(self._free_slots)
             self._free_slots.remove(slot)
             self._live_workers += 1
@@ -309,6 +375,30 @@ class SharedScheduler:
                 daemon=True,
             )
             thread.start()
+        self._condition.notify()
+
+    def _book(self, job_id: str, failed: bool) -> None:
+        """Free a finished thunk's slot, count it and settle it (caller
+        holds the lock)."""
+        self._running -= 1
+        self.stats.dispatched += 1
+        if failed:
+            self.stats.errors += 1
+        self.stats.dispatched_by_job[job_id] = (
+            self.stats.dispatched_by_job.get(job_id, 0) + 1
+        )
+        self._settle(job_id)
+
+    def _claim(self) -> _Request | None:
+        """Pop the next request if an execution slot is free; the popped
+        request holds that slot.  Caller must hold ``self._condition``.
+        """
+        if self._running >= self.workers:
+            return None
+        request = self._pop_next()
+        if request is not None:
+            self._running += 1
+        return request
 
     def _pop_next(self) -> _Request | None:
         """Round-robin pop: next request of the next job in the ring.
@@ -358,7 +448,7 @@ class SharedScheduler:
         _worker_context.scheduler = self
         while True:
             with self._condition:
-                request = self._pop_next()
+                request = self._claim()
                 while request is None:
                     if self._shutdown:
                         self._retire_worker(slot)
@@ -366,9 +456,9 @@ class SharedScheduler:
                     self._idle_workers += 1
                     signaled = self._condition.wait(timeout=self._idle_timeout)
                     self._idle_workers -= 1
-                    request = self._pop_next()
+                    request = self._claim()
                     if request is None and not signaled:
-                        # Idle too long and still nothing queued: shrink.
+                        # Idle too long and nothing to run: shrink.
                         self._retire_worker(slot)
                         return
             self._execute(request, slot)
@@ -381,8 +471,9 @@ class SharedScheduler:
                 should_skip = False
             if should_skip:
                 with self._condition:
+                    self._running -= 1
                     self.stats.skipped += 1
-                    self._settle(request)
+                    self._settle(request.job_id)
                 request.skipped = True
                 request.done.set()
                 return
@@ -391,16 +482,10 @@ class SharedScheduler:
         except BaseException as error:  # delivered to the waiter, not lost
             request.error = error
         with self._condition:
-            self.stats.dispatched += 1
-            if request.error is not None:
-                self.stats.errors += 1
-            self.stats.dispatched_by_job[request.job_id] = (
-                self.stats.dispatched_by_job.get(request.job_id, 0) + 1
-            )
+            self._book(request.job_id, request.error is not None)
             self.stats.dispatched_by_worker[slot] = (
                 self.stats.dispatched_by_worker.get(slot, 0) + 1
             )
-            self._settle(request)
         request.done.set()
 
 
@@ -436,18 +521,17 @@ class SchedulerBackend:
 
 
 class ScheduledExecutor:
-    """Route single executor calls through the shared pool.
+    """Route single executor calls through the shared scheduler.
 
     Serial sessions (whose algorithms evaluate one instance at a time
-    and depend on strict ordering for determinism) still benefit from
-    the shared pool: each execution occupies one worker slot, so N
-    concurrent jobs with serial sessions are collectively throttled and
-    fairly interleaved by the scheduler.
-
-    Calls made *from* one of this scheduler's own worker threads (e.g.
-    a batch task evaluating its instance) run inline -- the thread
-    already holds a worker slot, and a nested submit could deadlock a
-    fully-occupied pool.
+    and depend on strict ordering for determinism) still share the
+    service-wide cap: each execution occupies one slot, so N concurrent
+    jobs with serial sessions are collectively throttled and, when they
+    contend, fairly interleaved.  Each call goes through
+    :meth:`SharedScheduler.call`: uncontended, it runs on the job's own
+    thread; contended, it waits its round-robin turn for a worker.
+    Calls made while the thread already holds a slot (e.g. a batch task
+    evaluating its instance on a worker) run directly.
     """
 
     def __init__(self, scheduler: SharedScheduler, job_id: str, inner):
@@ -456,9 +540,4 @@ class ScheduledExecutor:
         self.job_id = job_id
 
     def __call__(self, instance):
-        if getattr(_worker_context, "scheduler", None) is self._scheduler:
-            return self._inner(instance)
-        request = self._scheduler.submit(
-            self.job_id, lambda: self._inner(instance)
-        )
-        return request.result()
+        return self._scheduler.call(self.job_id, lambda: self._inner(instance))

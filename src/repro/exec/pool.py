@@ -129,7 +129,11 @@ def _worker_main(conn, store_path: str | None) -> None:
 
     Messages in: ``("run", fingerprint, spec, workflow, values_dict)``
     (optionally extended with a sixth trace-context dict) or ``None``
-    (shutdown).  Messages out: ``("ready", pid)`` once, then per run
+    (shutdown).  The spec slot is ``None`` once this worker has answered
+    ``ok`` for the fingerprint: the executor it built is memoized here,
+    so the parent stops shipping the spec; ``None`` for a fingerprint
+    with no built executor is answered with an error.  Messages out:
+    ``("ready", pid)`` once, then per run
     ``("ok", outcome_value, cost, from_store)`` -- extended with a
     fifth span record when the run was traced -- or
     ``("error", detail)``.  A pipeline that kills the process mid-run
@@ -151,6 +155,8 @@ def _worker_main(conn, store_path: str | None) -> None:
         try:
             executor = executors.get(fingerprint)
             if executor is None:
+                if spec is None:
+                    raise LookupError(f"no executor built for spec {fingerprint}")
                 executor = executors[fingerprint] = spec.build()
             instance = Instance(values)
             if store_path is not None and store is None:
@@ -198,15 +204,22 @@ def _worker_main(conn, store_path: str | None) -> None:
 
 
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process.
 
-    __slots__ = ("worker_id", "process", "conn", "runs")
+    ``built`` holds the fingerprints of the specs this worker answered
+    ``ok`` for: it has built and memoized their executors, so runs of
+    those specs ship ``None`` in the spec slot instead of re-pickling
+    the spec.  A replacement worker starts with an empty set.
+    """
+
+    __slots__ = ("worker_id", "process", "conn", "runs", "built")
 
     def __init__(self, ctx, worker_id: int, store_path: str | None):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.worker_id = worker_id
         self.conn = parent_conn
         self.runs = 0
+        self.built: set[str] = set()
         self.process = ctx.Process(
             target=_worker_main,
             args=(child_conn, store_path),
@@ -220,8 +233,15 @@ class _Worker:
             raise WorkerCrashed(
                 f"worker {worker_id} not ready within {_READY_TIMEOUT}s"
             )
-        kind, __ = self.conn.recv()
-        assert kind == "ready"
+        try:
+            message = self.conn.recv()
+        except (EOFError, OSError) as error:
+            message = error
+        if not (isinstance(message, tuple) and message[:1] == ("ready",)):
+            self.kill()
+            raise WorkerCrashed(
+                f"worker {worker_id} answered {message!r} instead of ready"
+            )
 
     def run(
         self,
@@ -232,12 +252,13 @@ class _Worker:
         trace: dict | None = None,
     ) -> tuple[Outcome, float, bool, dict | None]:
         """One round-trip; raises WorkerCrashed / RunTimedOut / RemoteRunError."""
+        fingerprint = spec.fingerprint
         try:
             self.conn.send(
                 (
                     "run",
-                    spec.fingerprint,
-                    spec,
+                    fingerprint,
+                    None if fingerprint in self.built else spec,
                     workflow,
                     instance.as_dict(),
                     trace,
@@ -254,6 +275,7 @@ class _Worker:
         self.runs += 1
         if reply[0] == "error":
             raise RemoteRunError(reply[1])
+        self.built.add(fingerprint)
         __, outcome_value, cost, from_store = reply[:4]
         span = reply[4] if len(reply) > 4 else None
         return Outcome(outcome_value), cost, from_store, span

@@ -895,6 +895,12 @@ class RemoteWorkerPool:
                 pending.complete_lost("pool shutdown")
             self._cond.notify_all()
         try:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutting the listening socket down does.
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._server.close()
         except OSError:  # pragma: no cover
             pass

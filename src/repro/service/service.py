@@ -7,8 +7,8 @@ clients submit :class:`~repro.service.jobs.JobSpec`s and the service
    budget/history accounting stays exactly the paper's (each job is
    charged for instances new *to it*),
 2. routes every pipeline execution through one
-   :class:`~repro.service.scheduler.SharedScheduler` (fair, elastic,
-   budget-aware worker pool), and
+   :class:`~repro.service.scheduler.SharedScheduler` (a fair,
+   budget-aware, service-wide execution cap), and
 3. deduplicates executions across jobs -- and across service restarts --
    via the :class:`~repro.service.cache.ExecutionCache`, optionally
    backed by a :class:`~repro.provenance.store.SQLiteProvenanceStore`.
@@ -45,6 +45,11 @@ from .jobs import JobCancelled, JobGoal, JobHandle, JobResult, JobSpec, JobStatu
 from .scheduler import SharedScheduler
 
 __all__ = ["DebugService", "report_fingerprint", "spec_fingerprint"]
+
+# Bound on how long shutdown() waits for controllers still running a job
+# (idle ones exit at once); a job's next execution request fails after
+# shutdown, so teardown normally ends well within it.
+_CONTROLLER_JOIN_SECONDS = 2.0
 
 
 def spec_fingerprint(spec: JobSpec) -> str:
@@ -152,8 +157,8 @@ class DebugService:
             with the pool contract: ``executor()`` + ``stats()``).
             Jobs whose spec carries an ``executor_spec`` then execute
             their pipelines *out of process* (or on the remote fleet):
-            the service's scheduler worker threads dispatch each run to
-            a pool worker, while budget/history accounting, the shared
+            each run holds a scheduler slot while it waits on a pool
+            worker, while budget/history accounting, the shared
             cache, and cancellation stay in-parent and unchanged.  The
             pool is not owned: :meth:`shutdown` leaves it running for
             other owners.  A fleet pool additionally gets the service's
@@ -242,7 +247,7 @@ class DebugService:
         # controllers retire after a grace period.
         self._pending: collections.deque[JobHandle] = collections.deque()
         self._work = threading.Condition()
-        self._controllers = 0
+        self._controllers: set[threading.Thread] = set()
         self._idle_controllers = 0
         self._controller_serial = 0
         self._max_controllers = (
@@ -251,6 +256,7 @@ class DebugService:
             else max(32, workers * 4)
         )
         self._controller_idle_seconds = 2.0
+        self._closing = False  # set under _work by shutdown()
         self._shutdown = False
 
     # -- Introspection -------------------------------------------------------
@@ -292,7 +298,7 @@ class DebugService:
         with self._work:
             admission = {
                 "pending": len(self._pending),
-                "controllers": self._controllers,
+                "controllers": len(self._controllers),
                 "idle_controllers": self._idle_controllers,
                 "max_controllers": self._max_controllers,
             }
@@ -358,14 +364,15 @@ class DebugService:
             self._pending.append(handle)
             if self._idle_controllers > 0:
                 self._work.notify()
-            elif self._controllers < self._max_controllers:
-                self._controllers += 1
+            elif len(self._controllers) < self._max_controllers:
                 self._controller_serial += 1
-                threading.Thread(
+                thread = threading.Thread(
                     target=self._controller_loop,
                     name=f"debug-controller-{self._controller_serial}",
                     daemon=True,
-                ).start()
+                )
+                self._controllers.add(thread)
+                thread.start()
             # else: every controller is busy; the handle waits its turn
             # (admission control, not an error).
 
@@ -375,16 +382,20 @@ class DebugService:
         Retirement is decided under the work lock with the queue
         observed empty, and growth spawns a controller whenever no idle
         one exists -- so a pending handle always has a controller bound
-        for it and none can be stranded.
+        for it and none can be stranded.  After :meth:`shutdown` a
+        controller retires as soon as the queue is empty.
         """
         while True:
             with self._work:
                 while not self._pending:
+                    if self._closing:
+                        self._controllers.discard(threading.current_thread())
+                        return
                     self._idle_controllers += 1
                     signalled = self._work.wait(self._controller_idle_seconds)
                     self._idle_controllers -= 1
                     if not self._pending and not signalled:
-                        self._controllers -= 1
+                        self._controllers.discard(threading.current_thread())
                         return
                 handle = self._pending.popleft()
             self._run_job(handle)
@@ -497,10 +508,11 @@ class DebugService:
             self._cache.warm(spec.workflow, spec.history)
             history = spec.history.copy()
         budget = InstanceBudget(spec.budget)
-        # Every execution is routed through the shared pool, so the
+        # Every execution is routed through the shared scheduler, so the
         # service-wide worker cap and fair interleave apply to single
-        # evaluations too.  Calls that already run on a worker slot
-        # (batch tasks) execute inline -- see ScheduledExecutor.
+        # evaluations too.  Uncontended, a single evaluation runs on
+        # this job's controller thread; calls that already hold a slot
+        # (batch tasks) run directly -- see ScheduledExecutor.
         scheduled = self._scheduler.executor(spec.job_id, guarded)
         session = DebugSession(
             scheduled,
@@ -702,14 +714,25 @@ class DebugService:
 
         Queued execution requests are rejected; still-running jobs see
         their next request error and finish with status CANCELLED.
-        Live event firehoses end; per-job logs stay publishable so
-        those teardowns still land their terminal events.
+        Idle controllers are woken and retire at once; every controller
+        is joined for at most ``_CONTROLLER_JOIN_SECONDS`` in total, so
+        a pipeline stuck mid-run cannot hold shutdown hostage.  Live
+        event firehoses end; per-job logs stay publishable so those
+        teardowns still land their terminal events.
         """
         with self._lock:
             self._shutdown = True
         if self._sizer is not None:
             self._sizer.stop()
         self._scheduler.shutdown()
+        with self._work:
+            self._closing = True
+            self._work.notify_all()
+            controllers = list(self._controllers)
+        deadline = time.monotonic() + _CONTROLLER_JOIN_SECONDS
+        for thread in controllers:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
         self._events.shutdown()
         if isinstance(self._events, DurableEventBus):
             # Drain the sink and switch it to synchronous writes, so

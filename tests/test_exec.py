@@ -22,6 +22,7 @@ Four contracts:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import threading
@@ -49,6 +50,7 @@ from repro.exec import (
     RunTimedOut,
     WorkerCrashed,
 )
+from repro.exec import pool as pool_module
 from repro.exec.spec import resolve_reference
 from repro.exec.synthetic import build_pipeline, build_space
 from repro.pipeline import Module, Workflow
@@ -378,6 +380,111 @@ class TestProcessPool:
             assert pool.stats()["spawned"] == 1
 
 
+class _RecordingConn:
+    """Parent pipe end that logs, per run message, whether it carried
+    the spec (``False`` means the ``None`` spec slot)."""
+
+    def __init__(self, conn, worker_id: int, log: list):
+        self._conn = conn
+        self._worker_id = worker_id
+        self._log = log
+
+    def send(self, message):
+        if message is not None:
+            self._log.append((self._worker_id, message[2] is not None))
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+@pytest.fixture
+def spec_shipments(monkeypatch):
+    """``(worker_id, shipped_spec)`` for every run message sent to a
+    ProcessPool worker started while the fixture is active."""
+    log: list[tuple[int, bool]] = []
+    original = pool_module._Worker.__init__
+
+    def recording_init(self, *args):
+        original(self, *args)
+        self.conn = _RecordingConn(self.conn, self.worker_id, log)
+
+    monkeypatch.setattr(pool_module._Worker, "__init__", recording_init)
+    return log
+
+
+class TestSpecShipping:
+    def test_spec_ships_until_the_worker_answers_ok(self, spec_shipments):
+        rng = random.Random(4)
+        instances = [SPACE.random_instance(rng) for __ in range(3)]
+        reference = build_pipeline(fail_when=FAIL_WHEN)
+        other = synth_spec(work_iterations=3)
+        with ProcessPool(max_workers=1) as pool:
+            for instance in instances:
+                assert pool.run(synth_spec(), "wf", instance) is reference(instance)
+            assert pool.run(other, "wf", instances[0]) is reference(instances[0])
+            assert pool.run(other, "wf", instances[1]) is reference(instances[1])
+        assert spec_shipments == [
+            (0, True), (0, False), (0, False), (0, True), (0, False)
+        ]
+
+    def test_failed_build_ships_the_spec_again(self, spec_shipments):
+        broken = ExecutorSpec.from_builder(SYNTH, no_such_argument=1)
+        instance = Instance({"p0": 0, "p1": 0, "p2": 0, "p3": 0})
+        with ProcessPool(max_workers=1) as pool:
+            for __ in range(2):
+                with pytest.raises(RemoteRunError, match="no_such_argument"):
+                    pool.run(broken, "wf", instance)
+            assert pool.run(synth_spec(), "wf", instance) is Outcome.SUCCEED
+        # No ok answer, no memoized executor: the spec rides every run.
+        assert spec_shipments == [(0, True), (0, True), (0, True)]
+
+    def test_unknown_fingerprint_without_spec_is_an_error(self):
+        spec = synth_spec()
+        instance = Instance({"p0": 0, "p1": 0, "p2": 0, "p3": 0})
+        with ProcessPool(max_workers=1) as pool:
+            worker = pool._acquire()
+            try:
+                worker.built.add(spec.fingerprint)  # a lie: never built
+                with pytest.raises(RemoteRunError, match="no executor built"):
+                    worker.run(spec, "wf", instance, None)
+            finally:
+                pool._release(worker)
+            # The worker answered and survived.
+            assert pool.run(synth_spec(work_iterations=2), "wf", instance) is (
+                Outcome.SUCCEED
+            )
+            assert pool.stats()["replaced"] == 0
+
+    def test_wrong_ready_message_is_a_crashed_spawn(self):
+        """The ready handshake is a checked error, not an assert (which
+        ``python -O`` strips): a worker whose first message is anything
+        else is treated as a crashed spawn."""
+
+        class Impostor:
+            pid = None
+            exitcode = None
+
+            def __init__(self, target, args, name, daemon):
+                self._conn = args[0]
+
+            def start(self):
+                self._conn.send(("hello", 0))
+
+            def kill(self):
+                pass
+
+            def join(self, timeout=None):
+                pass
+
+        class Context:
+            Pipe = staticmethod(multiprocessing.Pipe)
+            Process = Impostor
+
+        with pytest.raises(WorkerCrashed, match="instead of ready"):
+            pool_module._Worker(Context(), 0, None)
+
+
 class TestElasticity:
     def test_grow_shrink_regrow(self):
         with ProcessPool(
@@ -422,10 +529,13 @@ class TestElasticity:
 # ---------------------------------------------------------------------------
 
 class TestFaultInjection:
-    def test_crash_once_retries_and_report_is_identical(self, tmp_path):
+    def test_crash_once_retries_and_report_is_identical(
+        self, tmp_path, spec_shipments
+    ):
         """A worker dying mid-run is replaced; the bounded retry reruns
         the deterministic pipeline, so the end-to-end report and budget
-        are byte-identical to a fault-free in-process run."""
+        are byte-identical to a fault-free in-process run.  The
+        replacement knows no executor yet, so it is sent the spec."""
         reference = build_pipeline(fail_when=FAIL_WHEN)
         expected = ddt_fingerprint(
             DebugSession(
@@ -438,7 +548,11 @@ class TestFaultInjection:
             crash_on=FAIL_WHEN,
             crash_once_path=str(tmp_path / "crash-once"),
         )
+        benign = Instance({"p0": 0, "p1": 0, "p2": 0, "p3": 0})
         with ProcessPool(max_workers=2, crash_retries=1) as pool:
+            # The crash then hits a worker that already built the
+            # executor and is being sent runs without the spec.
+            assert pool.run(crash_spec, "wf", benign) is reference(benign)
             session = pool.session(
                 crash_spec,
                 SPACE,
@@ -451,6 +565,9 @@ class TestFaultInjection:
         assert stats["crashes"] == 1
         assert stats["replaced"] == 1
         assert stats["retries"] == 1
+        assert spec_shipments[:2] == [(0, True), (0, False)]
+        assert [worker for worker, shipped in spec_shipments if shipped] == [0, 1]
+        assert next(e for e in spec_shipments if e[0] == 1) == (1, True)
 
     def test_crash_retries_exhausted_refunds_budget(self):
         always_crash = synth_spec(crash_on=FAIL_WHEN)

@@ -369,6 +369,20 @@ class TestFleetBasics:
         )
         stop_workers(workers)
 
+    def test_shutdown_stops_accepting_and_releases_the_port(self):
+        before = set(threading.enumerate())
+        pool = make_pool(store=None)
+        (accept,) = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name == "fleet-accept"
+        ]
+        host, port = pool.address
+        pool.shutdown()
+        assert not accept.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, port), timeout=1.0).close()
+
 
 # ---------------------------------------------------------------------------
 # Liveness: heartbeats, suspicion, eviction, redispatch

@@ -5,7 +5,9 @@ flaky/latency executor."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 import threading
 import time
 
@@ -179,43 +181,261 @@ class TestExecutionCache:
         assert counting.calls == 2
 
 
+class _Abort(BaseException):
+    """A BaseException that is not an Exception (like JobCancelled)."""
+
+
+def _submitted(scheduler, job, thunk):
+    """Queue ``thunk`` as a batch request; returns its waiter."""
+    return scheduler.submit(job, thunk).result
+
+
+def _called(scheduler, job, thunk):
+    """Run ``thunk`` through a ScheduledExecutor on a caller thread of
+    its own, returning once the call is queued; returns its waiter."""
+    queued = scheduler.pending + 1
+    executor = scheduler.executor(job, lambda instance: thunk())
+    errors = []
+
+    def caller():
+        try:
+            executor(None)
+        except BaseException as error:
+            errors.append(error)
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while scheduler.pending < queued and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+    def wait():
+        thread.join(10.0)
+        assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+
+    return wait
+
+
+def _bounded(function, timeout: float = 10.0):
+    """Run ``function`` on a helper thread; fail instead of hanging."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(function()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "call did not complete (deadlock?)"
+    return box[0]
+
+
+def _single_slot_run(enqueue):
+    """On one slot held by a blocker, queue ten "big" then two "small"
+    requests through ``enqueue``; returns the completion order after
+    the blocker, and the concurrency seen at each start."""
+    completed = []
+    active = []
+    peak = []
+    lock = threading.Lock()
+    gate = threading.Event()
+    occupied = threading.Event()
+
+    def task(job, index):
+        def thunk():
+            with lock:
+                active.append(job)
+                peak.append(len(active))
+            occupied.set()
+            gate.wait(5.0)
+            with lock:
+                active.remove(job)
+                completed.append((job, index))
+
+        return thunk
+
+    with SharedScheduler(workers=1) as scheduler:
+        blocker = scheduler.submit("warmup", task("warmup", 0))
+        assert occupied.wait(5.0)  # the only slot is taken
+        waits = [enqueue(scheduler, "big", task("big", i)) for i in range(10)]
+        waits += [enqueue(scheduler, "small", task("small", i)) for i in range(2)]
+        assert scheduler.pending == 12
+        gate.set()
+        for wait in waits:
+            wait()
+        blocker.result()
+    assert completed[0] == ("warmup", 0)
+    return completed[1:], peak
+
+
 class TestSharedScheduler:
     def test_round_robin_fairness_across_jobs(self):
-        """A late job's two requests are not starved by an early job's ten."""
-        completed = []
-        lock = threading.Lock()
-        gate = threading.Event()
+        """A late job's two requests are not starved by an early job's
+        ten, whether they arrive as batch requests or as calls from more
+        caller threads than there are workers."""
+        for enqueue in (_submitted, _called):
+            completed, peak = _single_slot_run(enqueue)
+            assert max(peak) == 1, enqueue.__name__
+            small_positions = [
+                position
+                for position, (job, _) in enumerate(completed)
+                if job == "small"
+            ]
+            # Round-robin: small's requests interleave near the front
+            # rather than waiting for all ten of big's.
+            assert small_positions[0] <= 2, enqueue.__name__
+            assert small_positions[1] <= 4, enqueue.__name__
 
-        def task(job, index):
-            def thunk():
-                gate.wait(5.0)
-                with lock:
-                    completed.append((job, index))
+    def test_uncontended_call_runs_on_the_callers_thread(self):
+        with SharedScheduler(workers=2) as scheduler:
+            executor = scheduler.executor(
+                "job", lambda instance: (instance, threading.current_thread())
+            )
+            assert executor("x") == ("x", threading.current_thread())
+            assert executor("y")[0] == "y"
+            assert scheduler.live_workers == 0  # no worker was started
+            stats = scheduler.stats_snapshot()
+        assert stats["submitted"] == stats["dispatched"] == stats["inline"] == 2
+        assert stats["dispatched_by_job"] == {"job": 2}
+        assert stats["dispatched_by_worker"] == {}
 
-            return thunk
+    def test_nested_call_inside_an_inline_thunk_completes(self):
+        """The inline caller holds the only slot; a nested call must run
+        directly instead of queueing behind itself."""
+        with SharedScheduler(workers=1) as scheduler:
+            inner = scheduler.executor("job", lambda instance: instance * 2)
+            outer = scheduler.executor("job", lambda instance: inner(instance) + 1)
+            assert _bounded(lambda: outer(5)) == 11
+            assert scheduler.live_workers == 0
+            assert scheduler.stats_snapshot()["inline"] == 1
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("boom"), _Abort()], ids=["exception", "base-exception"]
+    )
+    def test_inline_errors_propagate_and_settle(self, error):
+        def fail(instance):
+            raise error
 
         with SharedScheduler(workers=1) as scheduler:
-            blocker = scheduler.submit("warmup", lambda: gate.wait(5.0))
-            requests = [
-                scheduler.submit("big", task("big", index)) for index in range(10)
-            ]
-            requests += [
-                scheduler.submit("small", task("small", index))
-                for index in range(2)
-            ]
-            gate.set()
-            for request in requests:
-                request.result()
-            blocker.result()
-        small_positions = [
-            position
-            for position, (job, _) in enumerate(completed)
-            if job == "small"
-        ]
-        # Round-robin: small's requests interleave near the front rather
-        # than waiting for all ten of big's.
-        assert small_positions[0] <= 2
-        assert small_positions[1] <= 4
+            with pytest.raises(type(error)):
+                scheduler.executor("job", fail)(None)
+            stats = scheduler.stats_snapshot()
+            assert stats["errors"] == stats["inline"] == stats["dispatched"] == 1
+            assert scheduler.wait_quiescent("job", timeout=1.0)
+            # The slot came back: the next call runs inline again.
+            assert scheduler.executor("job", lambda instance: 7)(None) == 7
+            assert scheduler.stats_snapshot()["inline"] == 2
+
+    @pytest.mark.parametrize("idle_worker", [False, True])
+    def test_inline_caller_holds_its_slot_then_hands_it_over(self, idle_worker):
+        """The cap counts inline callers: while one holds the only slot,
+        queued work waits -- even with an idle worker thread at hand --
+        and the inline caller's finish wakes or spawns a worker for it."""
+        started = threading.Event()
+        release = threading.Event()
+
+        def hold(instance):
+            started.set()
+            release.wait(5.0)
+
+        with SharedScheduler(workers=1, idle_timeout=30.0) as scheduler:
+            if idle_worker:
+                scheduler.run_batch("warm", [lambda: None])
+                assert scheduler.live_workers == 1
+            caller = threading.Thread(
+                target=scheduler.executor("inline", hold), args=(None,)
+            )
+            caller.start()
+            assert started.wait(5.0)
+            queued = scheduler.submit("batch", lambda: "ran")
+            assert not queued.done.wait(0.05)
+            release.set()
+            assert queued.done.wait(5.0)
+            assert queued.result() == "ran"
+            caller.join(5.0)
+            assert not caller.is_alive()
+            stats = scheduler.stats_snapshot()
+        assert stats["inline"] == 1
+        assert sum(stats["dispatched_by_worker"].values()) == 1 + idle_worker
+
+    def test_wait_quiescent_covers_an_inline_call(self):
+        started = threading.Event()
+        release = threading.Event()
+
+        def slow(instance):
+            started.set()
+            release.wait(5.0)
+
+        with SharedScheduler(workers=2) as scheduler:
+            caller = threading.Thread(
+                target=scheduler.executor("job", slow), args=(None,)
+            )
+            caller.start()
+            assert started.wait(5.0)
+            assert scheduler.wait_quiescent("job", timeout=0.05) is False
+            release.set()
+            caller.join(5.0)
+            assert not caller.is_alive()
+            assert scheduler.wait_quiescent("job", timeout=5.0) is True
+
+    def test_stress_callers_and_batches_respect_the_cap(self):
+        """8 caller threads and a batch submitter on 2 workers, with the
+        interpreter switching threads as often as it can: the cap holds
+        and every request is booked exactly once."""
+        workers = 2
+        active = [0]
+        peak = [0]
+        lock = threading.Lock()
+        stop = time.monotonic() + 0.5
+        skips = itertools.count()
+
+        def work(instance=None):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0)
+            with lock:
+                active[0] -= 1
+            return instance
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SharedScheduler(workers=workers) as scheduler:
+
+                def caller(index):
+                    executor = scheduler.executor(f"caller-{index}", work)
+                    while time.monotonic() < stop:
+                        assert executor(index) == index
+
+                def submitter():
+                    while time.monotonic() < stop:
+                        scheduler.run_batch(
+                            "batch",
+                            [work] * 6,
+                            skip=lambda: next(skips) % 3 == 0,
+                        )
+
+                threads = [
+                    threading.Thread(target=caller, args=(index,))
+                    for index in range(8)
+                ]
+                threads.append(threading.Thread(target=submitter))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+                stats = scheduler.stats_snapshot()
+                for job in [f"caller-{index}" for index in range(8)] + ["batch"]:
+                    assert scheduler.wait_quiescent(job, timeout=1.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert peak[0] <= workers
+        assert stats["submitted"] == stats["dispatched"] + stats["skipped"]
+        assert stats["dispatched"] == stats["inline"] + sum(
+            stats["dispatched_by_worker"].values()
+        )
+        assert stats["inline"] > 0 and stats["skipped"] > 0
+        assert sum(stats["dispatched_by_worker"].values()) > 0
 
     def test_skip_resolves_without_dispatch(self):
         with SharedScheduler(workers=2) as scheduler:
@@ -564,6 +784,33 @@ class TestDebugService:
         result = handle.result(timeout=30)
         assert result.status is JobStatus.CANCELLED
         assert isinstance(result.error, RuntimeError)
+
+    def test_shutdown_retires_idle_controllers(self):
+        before = set(threading.enumerate())
+
+        def controllers():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread not in before
+                and thread.name.startswith("debug-controller-")
+            ]
+
+        service = DebugService(workers=2)
+        results = service.run_all(
+            [
+                _custom_job(f"job-{index}", _instances(index, 3), executor=_oracle)
+                for index in range(3)
+            ],
+            timeout=30,
+        )
+        assert all(result.succeeded for result in results)
+        assert controllers()  # idle, waiting for more work
+        started = time.monotonic()
+        service.shutdown()
+        assert controllers() == []
+        # Woken, not sitting out their idle timeout.
+        assert time.monotonic() - started < 1.0
 
     def test_persistent_store_warms_next_service(self):
         store = SQLiteProvenanceStore(":memory:")

@@ -9,10 +9,12 @@ subprocess running the remote-fleet backend:
    wait for all to finish;
 3. assert each submission's minted ``trace_id`` reconstructs as ONE
    causal tree via ``/query?op=trace``: root span (service events),
-   dispatch child spans, and worker grandchild spans carrying the
-   executing process's pid -- a *different* pid than the server's,
-   proving the trace crossed the process boundary over the fleet wire
-   protocol;
+   one dispatch child span per run the job executed (its
+   ``metrics_snapshot`` cache count; ``ml-2`` replicates ``ml-1``, so
+   the shared cache may serve all of its runs), and worker grandchild
+   spans carrying the executing process's pid -- a *different* pid
+   than the server's, proving the trace crossed the process boundary
+   over the fleet wire protocol;
 4. capture ``jobs`` + ``agg`` query bytes, then run ``repro compact
    --all`` for the ``ml`` workflow *while the service is still
    serving* (online compaction against a live writer);
@@ -117,7 +119,19 @@ def wait_terminal(port: int, job_id: str, deadline_seconds: float) -> str:
     raise SystemExit(f"{job_id} never reached a terminal state")
 
 
-def check_trace_tree(port: int, job_id: str, trace_id: str, server_pid: int):
+def executed_runs(port: int) -> dict[str, int]:
+    """Runs each job executed itself (not served by the shared cache),
+    from its ``metrics_snapshot`` event."""
+    rows = json.loads(get(port, "/query?op=events&kind=metrics_snapshot"))
+    return {
+        row["job_id"]: row["payload"]["cache"]["executions"]
+        for row in rows["events"]
+    }
+
+
+def check_trace_tree(
+    port: int, job_id: str, trace_id: str, server_pid: int, executed: int
+) -> set:
     tree = json.loads(get(port, f"/query?op=trace&trace_id={trace_id}"))
     assert tree["trace_id"] == trace_id, tree
     roots = tree["tree"]
@@ -127,22 +141,27 @@ def check_trace_tree(port: int, job_id: str, trace_id: str, server_pid: int):
     assert "submitted" in kinds and "finished" in kinds, kinds
     assert all(e["job_id"] == job_id for e in root["events"]), root
     dispatches = root["children"]
-    assert dispatches, f"{job_id}: no dispatch spans under the root"
+    assert len(dispatches) == executed, (
+        f"{job_id}: {len(dispatches)} dispatch spans under the root for "
+        f"{executed} executed runs"
+    )
     worker_pids = set()
     for dispatch in dispatches:
         assert {e["kind"] for e in dispatch["events"]} == {"run_dispatched"}
+        assert len(dispatch["children"]) == 1, dispatch
         for worker in dispatch["children"]:
             assert {e["kind"] for e in worker["events"]} == {"run_completed"}
             worker_pids.add(worker["pid"])
-    assert worker_pids, f"{job_id}: no worker spans under any dispatch"
     assert server_pid not in worker_pids, (
         f"{job_id}: worker spans claim the server pid -- the trace never "
         "crossed the process boundary"
     )
     print(
-        f"trace {trace_id[:8]}…: 1 root, {len(dispatches)} dispatch span(s), "
-        f"worker pid(s) {sorted(worker_pids)} != server pid {server_pid}"
+        f"trace {trace_id[:8]}…: 1 root, {len(dispatches)} dispatch span(s) "
+        f"for {executed} executed run(s), worker pid(s) {sorted(worker_pids)} "
+        f"!= server pid {server_pid}"
     )
+    return worker_pids
 
 
 def main() -> int:
@@ -169,8 +188,13 @@ def main() -> int:
             assert status == "succeeded", (job_id, status)
         print(f"three jobs finished; trace ids: {traces}")
 
+        executed = executed_runs(port)
+        worker_pids = set()
         for job_id, trace_id in traces.items():
-            check_trace_tree(port, job_id, trace_id, process.pid)
+            worker_pids |= check_trace_tree(
+                port, job_id, trace_id, process.pid, executed[job_id]
+            )
+        assert worker_pids, "no worker spans under any dispatch"
 
         jobs_before = get(port, "/query?op=jobs")
         agg_before = get(
